@@ -438,9 +438,14 @@ impl BlockKernel for AliasBuildBlock<'_> {
         // the MH ratio needs is reconstructed from φ̂ and the per-chunk n̂_k
         // snapshot (K × 8 bytes per rebuild, amortised over every word) at
         // two flops per evaluation.
-        let weights: Vec<f64> = (0..k)
-            .map(|kk| {
-                (self.state.phi_global.load(kk, v) as f64 + beta)
+        let weights: Vec<f64> = self
+            .state
+            .phi_global
+            .col(v)
+            .iter()
+            .enumerate()
+            .map(|(kk, phi)| {
+                (phi.load(Ordering::Relaxed) as f64 + beta)
                     / (self.state.nk_global.get(kk) as f64 + v_beta)
             })
             .collect();
@@ -488,6 +493,7 @@ impl BlockKernel for AliasSampleBlock<'_> {
         let q_hat = alpha * stale.mass();
         ctx.read_global(8);
 
+        let phi_col = state.phi_global.col(v);
         let theta = state.theta.read();
         let mut p1_prefix: Vec<f64> = Vec::with_capacity(64);
         for pos in item.start..item.end {
@@ -502,11 +508,10 @@ impl BlockKernel for AliasSampleBlock<'_> {
             // hybrid never touches the full φ column, only the topics the
             // sparse part and the MH steps actually visit (L1-served, like
             // the sparse kernel's spilled lookups).
-            let phi_mat = &state.phi_global;
             let nk = &state.nk_global;
             let fresh = |kk: usize| {
                 let self_count = if kk == c { 1.0 } else { 0.0 };
-                ((phi_mat.load(kk, v) as f64 - self_count).max(0.0) + beta)
+                ((phi_col[kk].load(Ordering::Relaxed) as f64 - self_count).max(0.0) + beta)
                     / ((nk.get(kk) as f64 - self_count).max(0.0) + v_beta)
             };
 

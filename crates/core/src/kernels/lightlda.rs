@@ -524,7 +524,13 @@ impl BlockKernel for LightBuildBlock<'_> {
 
         // The column scan is unavoidable (the counts live there); what the
         // pruned form saves is the table construction and its footprint.
-        let counts: Vec<u32> = (0..k).map(|kk| self.state.phi_global.load(kk, v)).collect();
+        let counts: Vec<u32> = self
+            .state
+            .phi_global
+            .col(v)
+            .iter()
+            .map(|phi| phi.load(Ordering::Relaxed))
+            .collect();
         ctx.read_global(k as u64 * int_bytes); // φ̂[·, v]
         ctx.flops(k as u64); // accumulate the column total
         let proposal = WordProposal::build(&counts, self.config.beta, self.prune_below);
@@ -570,6 +576,7 @@ impl BlockKernel for LightSampleBlock<'_> {
             .expect("word proposals cover every word with tokens in the chunk");
         ctx.read_global(16); // proposal masses, once per block
 
+        let phi_col = state.phi_global.col(v);
         let theta = state.theta.read();
         for pos in item.start..item.end {
             let pos = pos as usize;
@@ -585,11 +592,10 @@ impl BlockKernel for LightSampleBlock<'_> {
             // self-excluded θ row probe (CSR columns are sorted; the binary
             // search is charged per probe — light never walks the full row,
             // which is its whole point).
-            let phi_mat = &state.phi_global;
             let nk = &state.nk_global;
             let fresh = |kk: usize| {
                 let self_count = if kk == c { 1.0 } else { 0.0 };
-                ((phi_mat.load(kk, v) as f64 - self_count).max(0.0) + beta)
+                ((phi_col[kk].load(Ordering::Relaxed) as f64 - self_count).max(0.0) + beta)
                     / ((nk.get(kk) as f64 - self_count).max(0.0) + v_beta)
             };
             let (cols, vals) = theta.row(d);

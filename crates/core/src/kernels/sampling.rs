@@ -148,8 +148,8 @@ impl BlockKernel for SparseCgsBlock<'_> {
         let mut phi_col = vec![0.0f32; k];
         let mut nk_vals = vec![0.0f32; k];
         let mut p_star = vec![0.0f32; k];
-        for kk in 0..k {
-            phi_col[kk] = state.phi_global.load(kk, v) as f32;
+        for (kk, phi) in state.phi_global.col(v).iter().enumerate() {
+            phi_col[kk] = phi.load(Ordering::Relaxed) as f32;
             nk_vals[kk] = state.nk_global.get(kk) as f32;
             p_star[kk] = (phi_col[kk] + beta) / (nk_vals[kk] + beta_v);
         }

@@ -9,6 +9,10 @@
 //! chunk's `phi_local` replica and topic totals, then promotes `z_next` to be
 //! the current assignment.  φ is updated *before* θ so the φ synchronization
 //! can start as early as possible and overlap with the θ update (§6.2).
+//!
+//! A block that moves at least one token marks its word in the chunk's
+//! `dirty_words`, which is how the φ synchronization knows which columns it
+//! must recombine (see [`crate::sync`]).
 
 use crate::model::ChunkState;
 use crate::work::WorkItem;
@@ -32,6 +36,7 @@ impl BlockKernel for UpdatePhiKernel<'_> {
         let v = item.word as usize;
         let int_bytes: u64 = if self.compress_16bit { 2 } else { 4 };
 
+        let mut moved = false;
         for pos in item.start..item.end {
             let pos = pos as usize;
             let old = state.z[pos].load(Ordering::Relaxed);
@@ -45,10 +50,14 @@ impl BlockKernel for UpdatePhiKernel<'_> {
                 state.nk_local.add(new as usize, 1);
                 // Two φ atomics + two n_k atomics.
                 ctx.atomics(4);
+                moved = true;
             }
             // Promote the proposal to the current assignment.
             state.z[pos].store(new, Ordering::Relaxed);
             ctx.write_global(int_bytes);
+        }
+        if moved {
+            state.dirty_words[v].store(true, Ordering::Relaxed);
         }
     }
 }

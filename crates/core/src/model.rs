@@ -4,12 +4,16 @@
 //! exclusively, while φ is replicated: each replica accumulates the counts
 //! contributed by its own chunk's tokens (`phi_local`), and the synchronized
 //! global matrix (`phi_global = Σ_c phi_local[c]`) is what the samplers read.
+//! Both φ replicas are stored word-major (one contiguous K-run per word, see
+//! [`AtomicMatrix::col`]), and every chunk tracks which words its
+//! `phi_local` changed since the last synchronization (`dirty_words`), so
+//! the sync only recombines those columns (`DESIGN.md` §8).
 
 use crate::config::LdaConfig;
 use culda_corpus::ChunkLayout;
 use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicI64, AtomicU16, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU16, Ordering};
 
 /// Atomic per-topic totals `n_k` (64-bit: billion-token corpora overflow u32).
 #[derive(Debug)]
@@ -94,16 +98,28 @@ pub struct ChunkState {
     /// θ rows of this chunk's documents (CSR with 16-bit topic columns).
     /// Rebuilt by the update-θ kernel after every iteration.
     pub theta: RwLock<CsrMatrix>,
-    /// This chunk's contribution to φ (`K × V`), rebuilt each iteration by
-    /// the update-φ kernel.
+    /// This chunk's contribution to φ (`K × V`, word-major), updated each
+    /// iteration by the update-φ kernel.
+    ///
+    /// Invariant: every write to `phi_local` also marks the written word in
+    /// [`ChunkState::dirty_words`].  The φ synchronization recombines only
+    /// dirty words, so a write that skips the mark leaves `phi_global`
+    /// silently stale.
     pub phi_local: AtomicMatrix,
     /// This chunk's contribution to the topic totals `n_k`.
     pub nk_local: TopicTotals,
     /// The synchronized global φ the sampling kernel reads
-    /// (`Σ` of every chunk's `phi_local` after the reduce+broadcast of §5.2).
+    /// (`Σ` of every chunk's `phi_local` after the reduce+broadcast of §5.2),
+    /// word-major like `phi_local`.  Only the φ synchronization writes it.
     pub phi_global: AtomicMatrix,
     /// The synchronized global topic totals.
     pub nk_global: TopicTotals,
+    /// One flag per word: set when this chunk's `phi_local` column for the
+    /// word changed since the last φ synchronization, cleared by that sync.
+    /// The update-φ kernel marks the words it moved a token of; every
+    /// clear-and-recount path (construction, the initialisers,
+    /// [`ChunkState::rebuild_phi_local`]) marks all of them.
+    pub dirty_words: Vec<AtomicBool>,
     /// For every word-major position, the token's index within its document
     /// (see [`ChunkLayout::token_slots`]); combined with the global document
     /// id this keys the counter-based sampling RNG.
@@ -122,6 +138,8 @@ impl ChunkState {
         let mut z_next = Vec::with_capacity(tokens);
         z_next.resize_with(tokens, || AtomicU16::new(0));
         let token_slot = layout.token_slots();
+        let mut dirty_words = Vec::with_capacity(vocab);
+        dirty_words.resize_with(vocab, || AtomicBool::new(true));
         ChunkState {
             chunk_id,
             layout,
@@ -133,6 +151,17 @@ impl ChunkState {
             nk_local: TopicTotals::zeros(num_topics),
             phi_global: AtomicMatrix::zeros(num_topics, vocab),
             nk_global: TopicTotals::zeros(num_topics),
+            dirty_words,
+        }
+    }
+
+    /// Zero `phi_local` / `nk_local` ahead of a full recount, marking every
+    /// word dirty so the next φ synchronization recombines all of them.
+    fn clear_phi_local(&self) {
+        self.phi_local.clear();
+        self.nk_local.clear();
+        for flag in &self.dirty_words {
+            flag.store(true, Ordering::Relaxed);
         }
     }
 
@@ -153,8 +182,7 @@ impl ChunkState {
         let k = self.num_topics();
         debug_assert_eq!(k, config.num_topics);
         // Assign topics and accumulate φ_local / n_k.
-        self.phi_local.clear();
-        self.nk_local.clear();
+        self.clear_phi_local();
         for v in 0..self.layout.vocab_size {
             let (start, end) = self.layout.word_token_range(v);
             for pos in start..end {
@@ -179,8 +207,7 @@ impl ChunkState {
     pub fn random_init_stable(&self, config: &LdaConfig, seed: u64) {
         let k = self.num_topics() as u64;
         debug_assert_eq!(k as usize, config.num_topics);
-        self.phi_local.clear();
-        self.nk_local.clear();
+        self.clear_phi_local();
         for d in 0..self.layout.num_docs() {
             let global_doc = (self.layout.range.start + d) as u64;
             for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
@@ -213,8 +240,7 @@ impl ChunkState {
     /// Callers must have validated that the snapshot covers this chunk's
     /// documents with the right lengths and in-range topics.
     pub fn init_from_assignments(&self, z: &[Vec<u16>]) {
-        self.phi_local.clear();
-        self.nk_local.clear();
+        self.clear_phi_local();
         for d in 0..self.layout.num_docs() {
             let row = &z[self.layout.range.start + d];
             for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
@@ -253,8 +279,7 @@ impl ChunkState {
     /// Recount this chunk's φ contribution from the current assignments (the
     /// functional core of the update-φ kernel).
     pub fn rebuild_phi_local(&self) {
-        self.phi_local.clear();
-        self.nk_local.clear();
+        self.clear_phi_local();
         for v in 0..self.layout.vocab_size {
             let (start, end) = self.layout.word_token_range(v);
             for pos in start..end {

@@ -16,15 +16,25 @@
 //! which is what lets the scheduler overlap shard `s`'s reduce with the
 //! sampling of shard `s + 1` (see [`crate::schedule`] and `DESIGN.md` §8).
 //!
-//! The simulator computes the sums functionally (integer column sums are
-//! identical however the columns are grouped, so sharding can never change
-//! the synchronized state) and charges the time of the per-shard tree
-//! schedules over the system's interconnect, which is what determines
-//! multi-GPU scalability (Figure 9).
+//! Every synchronization has two halves that never influence each other:
 //!
-//! The reduce itself runs on real OS threads, which is safe precisely
-//! because everything summed here is an integer count: addition commutes, so
-//! no thread interleaving can change a column sum.  Floating-point reduces
+//! * **Cost model.**  The simulated time is that of the per-shard tree
+//!   schedules over the system's interconnect, always charged for the full
+//!   replica (every column of every shard, plus `n_k`), which is what the
+//!   paper's GPUs move and what determines multi-GPU scalability (Figure 9).
+//! * **Host-side combination.**  The simulator computes the sums
+//!   functionally, and only where they can have changed.  φ replicas are
+//!   word-major, and each chunk flags the words its `phi_local` changed since
+//!   the last sync ([`ChunkState::dirty_words`]).  One pass, parallel over
+//!   the union of dirty words, writes `Σ_c phi_local[c].col(v)` into every
+//!   chunk's `phi_global.col(v)` in place and clears the flags.  A clean
+//!   column already holds its sum, so the result is bit-identical to
+//!   recombining all `V` columns; and since integer column sums do not
+//!   depend on how columns are grouped, sharding cannot change it either.
+//!
+//! The combination runs on real OS threads, which is safe precisely because
+//! everything summed here is an integer count: addition commutes, so no
+//! thread interleaving can change a column sum.  Floating-point reduces
 //! must not be added to this path without routing them through the shim's
 //! fixed partial-sum tree, where the tree shape — not thread arrival order —
 //! defines the result.
@@ -35,7 +45,12 @@ use culda_gpusim::MultiGpuSystem;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Words per claim of the host-side combination pass (64 K-runs, 128 KB of
+/// φ per chunk at K = 512): enough to amortise the per-claim accumulator.
+const WORDS_PER_CLAIM: usize = 64;
 
 /// How one φ synchronization is laid out: how many vocabulary shards, and how
 /// many of their reduces may overlap sampling.
@@ -455,6 +470,38 @@ pub fn synchronize_phi_hier_sharded(
     synchronize_phi_hier_over_ranges(states, system, ranges, compress_16bit, plan)
 }
 
+/// The host-side combination: for every word in the union of the chunks'
+/// [`ChunkState::dirty_words`], write `Σ_c phi_local[c].col(v)` into every
+/// chunk's `phi_global.col(v)` and clear the word's flags.  One pass,
+/// parallel over words; replicas are written in place.
+fn combine_dirty_words(states: &[Arc<ChunkState>]) {
+    let k = states[0].num_topics();
+    let dirty: Vec<usize> = (0..states[0].phi_local.cols())
+        .filter(|&w| {
+            states
+                .iter()
+                .any(|st| st.dirty_words[w].load(Ordering::Relaxed))
+        })
+        .collect();
+    dirty.par_chunks(WORDS_PER_CLAIM).for_each(|words| {
+        let mut acc = vec![0u32; k];
+        for &w in words {
+            acc.fill(0);
+            for st in states {
+                for (a, x) in acc.iter_mut().zip(st.phi_local.col(w)) {
+                    *a += x.load(Ordering::Relaxed);
+                }
+            }
+            for st in states {
+                for (dst, &a) in st.phi_global.col(w).iter().zip(&acc) {
+                    dst.store(a, Ordering::Relaxed);
+                }
+                st.dirty_words[w].store(false, Ordering::Relaxed);
+            }
+        }
+    });
+}
+
 /// Synchronize over an explicit, already-resolved set of contiguous column
 /// ranges with the *flat* single-tier cost model (every tree round over the
 /// system interconnect — on a cluster, the fabric).  Kept as the LDA*-style
@@ -475,11 +522,13 @@ pub fn synchronize_phi_over_ranges(
     )
 }
 
-/// The workhorse behind every synchronize variant: combine over an explicit,
-/// already-resolved set of contiguous column ranges (which must cover `0..V`
-/// in order) and cost them under `plan`.  Exposed so the scheduler can
-/// resolve the ranges once per iteration and reuse them for its
-/// compute-overlap weights.
+/// The workhorse behind every synchronize variant: combine every chunk's φ
+/// and `n_k` into every replica, and cost an explicit, already-resolved set
+/// of contiguous column ranges (which must cover `0..V` in order) under
+/// `plan`.  Exposed so the scheduler can resolve the ranges once per
+/// iteration and reuse them for its compute-overlap weights.  The ranges
+/// shape the simulated cost only; the host-side combination is the same
+/// dirty-word pass for every plan (see the module docs).
 pub fn synchronize_phi_hier_over_ranges(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -491,31 +540,8 @@ pub fn synchronize_phi_hier_over_ranges(
     let k = states[0].num_topics();
     let v = states[0].phi_local.cols();
 
-    // --- Functional part: global sums, one column shard at a time. ---
-    for range in &ranges {
-        // Sum rows in parallel; each row of the result is independent.
-        let summed: Vec<Vec<u32>> = (0..k)
-            .into_par_iter()
-            .map(|row| {
-                let mut acc = vec![0u32; range.len()];
-                for st in states {
-                    for (a, col) in acc.iter_mut().zip(range.clone()) {
-                        *a += st.phi_local.load(row, col);
-                    }
-                }
-                acc
-            })
-            .collect();
-
-        // Broadcast the shard into every chunk's global replica.
-        states.par_iter().for_each(|st| {
-            for (row, vals) in summed.iter().enumerate() {
-                for (offset, &x) in vals.iter().enumerate() {
-                    st.phi_global.store(row, range.start + offset, x);
-                }
-            }
-        });
-    }
+    // --- Functional part: recombine the words some chunk changed. ---
+    combine_dirty_words(states);
 
     // n_k is K-sized (tiny next to φ); it rides with the last shard.
     let mut nk = vec![0i64; k];
@@ -561,8 +587,11 @@ pub fn synchronize_phi_hier_over_ranges(
 mod tests {
     use super::*;
     use crate::config::LdaConfig;
+    use crate::kernels::UpdatePhiKernel;
+    use crate::work::build_work_items;
     use culda_corpus::{Corpus, DatasetProfile, Partitioner};
-    use culda_gpusim::{DeviceSpec, Interconnect};
+    use culda_gpusim::{Device, DeviceSpec, Interconnect, LaunchConfig};
+    use culda_sparse::DenseMatrix;
 
     fn make_states(corpus: &Corpus, chunks: usize, k: usize) -> Vec<Arc<ChunkState>> {
         let partitioner = Partitioner::by_tokens(corpus, chunks);
@@ -819,6 +848,147 @@ mod tests {
         assert!(hier.intra_bytes > 0);
         assert_eq!(hier.inter_bytes, 0);
         assert_eq!(hier.intra_bytes, flat.intra_bytes);
+    }
+
+    /// Σ_c of every chunk's `phi_local` / `nk_local`, over all K × V cells.
+    fn dense_sum(states: &[Arc<ChunkState>]) -> (DenseMatrix<u32>, Vec<i64>) {
+        let mut phi = states[0].phi_local.to_dense();
+        let mut nk = states[0].nk_local.to_vec();
+        for st in &states[1..] {
+            for (a, b) in phi
+                .as_mut_slice()
+                .iter_mut()
+                .zip(st.phi_local.to_dense().as_slice())
+            {
+                *a += b;
+            }
+            for (a, b) in nk.iter_mut().zip(st.nk_local.to_vec()) {
+                *a += b;
+            }
+        }
+        (phi, nk)
+    }
+
+    fn assert_synced(states: &[Arc<ChunkState>]) {
+        let (phi, nk) = dense_sum(states);
+        for st in states {
+            assert_eq!(st.phi_global.to_dense(), phi);
+            assert_eq!(st.nk_global.to_vec(), nk);
+        }
+    }
+
+    fn dirty_count(st: &ChunkState) -> usize {
+        st.dirty_words
+            .iter()
+            .filter(|f| f.load(Ordering::Relaxed))
+            .count()
+    }
+
+    fn pcie(gpus: usize) -> MultiGpuSystem {
+        MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), gpus, 1, Interconnect::Pcie3)
+    }
+
+    /// Launch the update-φ kernel on every chunk (folding `z → z_next`).
+    fn update_phi(states: &[Arc<ChunkState>]) {
+        let dev = Device::new(0, DeviceSpec::titan_xp_pascal(), 4);
+        for st in states {
+            let items = build_work_items(&st.layout, 64);
+            let kernel = UpdatePhiKernel {
+                state: st,
+                items: &items,
+                compress_16bit: true,
+            };
+            dev.launch("Update phi", LaunchConfig::new(items.len()), &kernel);
+        }
+    }
+
+    #[test]
+    fn a_sync_after_no_moves_changes_nothing_and_leaves_no_dirty_word() {
+        let corpus = corpus();
+        let states = make_states(&corpus, 3, 6);
+        let system = pcie(3);
+        assert!(states
+            .iter()
+            .all(|st| dirty_count(st) == corpus.vocab_size()));
+        synchronize_phi(&states, &system, true);
+        assert_synced(&states);
+        assert!(states.iter().all(|st| dirty_count(st) == 0));
+        let before: Vec<_> = states.iter().map(|st| st.phi_global.to_dense()).collect();
+
+        // z_next == z after initialisation: the kernel moves no token.
+        update_phi(&states);
+        assert!(states.iter().all(|st| dirty_count(st) == 0));
+        let again = synchronize_phi(&states, &system, true);
+        for (st, b) in states.iter().zip(&before) {
+            assert_eq!(&st.phi_global.to_dense(), b);
+        }
+        assert_synced(&states);
+        assert!(states.iter().all(|st| dirty_count(st) == 0));
+        // The simulated cost still charges the full replica.
+        assert_eq!(
+            again,
+            synchronize_phi(&make_states(&corpus, 3, 6), &system, true)
+        );
+    }
+
+    #[test]
+    fn update_phi_marks_exactly_the_words_it_moved() {
+        let corpus = corpus();
+        let states = make_states(&corpus, 2, 6);
+        let system = pcie(2);
+        synchronize_phi(&states, &system, true);
+        // Move every token of word 0 in chunk 1 to another topic.
+        let st = &states[1];
+        let (start, end) = st.layout.word_token_range(0);
+        assert!(end > start, "word 0 is the most frequent word");
+        for pos in start..end {
+            let z = st.z[pos].load(Ordering::Relaxed);
+            st.z_next[pos].store((z + 1) % 6, Ordering::Relaxed);
+        }
+        update_phi(&states);
+        assert_eq!(dirty_count(&states[0]), 0);
+        assert_eq!(dirty_count(st), 1);
+        assert!(st.dirty_words[0].load(Ordering::Relaxed));
+        synchronize_phi(&states, &system, true);
+        assert_synced(&states);
+        assert!(states.iter().all(|st| dirty_count(st) == 0));
+    }
+
+    #[test]
+    fn rebuild_phi_local_forces_a_full_resync() {
+        let corpus = corpus();
+        let states = make_states(&corpus, 3, 6);
+        let system = pcie(3);
+        synchronize_phi(&states, &system, true);
+        // Reassign chunk 2's tokens behind the update kernel's back, then
+        // recount: the recount alone must flag every word.
+        let st = &states[2];
+        for z in &st.z {
+            z.store((z.load(Ordering::Relaxed) + 2) % 6, Ordering::Relaxed);
+        }
+        st.rebuild_phi_local();
+        assert_eq!(dirty_count(st), corpus.vocab_size());
+        synchronize_phi(&states, &system, true);
+        assert_synced(&states);
+        assert!(states.iter().all(|st| dirty_count(st) == 0));
+    }
+
+    #[test]
+    fn init_from_assignments_forces_a_full_resync() {
+        let corpus = corpus();
+        let states = make_states(&corpus, 2, 6);
+        let system = pcie(2);
+        synchronize_phi(&states, &system, true);
+        // Every token of chunk 0 on topic 5.
+        let z: Vec<Vec<u16>> = (0..corpus.num_docs())
+            .map(|d| vec![5u16; corpus.doc(d).len()])
+            .collect();
+        states[0].init_from_assignments(&z);
+        assert_eq!(dirty_count(&states[0]), corpus.vocab_size());
+        assert_eq!(dirty_count(&states[1]), 0);
+        synchronize_phi(&states, &system, true);
+        assert_synced(&states);
+        assert_eq!(states[0].nk_local.get(5), states[0].num_tokens() as i64);
     }
 
     #[test]

@@ -453,6 +453,13 @@ impl CuLdaTrainer {
         self.states.len()
     }
 
+    /// The per-chunk device state, in chunk order (read-only inspection of
+    /// the replicas, e.g. by invariant checks that compare every chunk's
+    /// `phi_global` with the sum of the `phi_local` contributions).
+    pub fn chunk_states(&self) -> &[Arc<ChunkState>] {
+        &self.states
+    }
+
     /// Total tokens in the corpus.
     pub fn total_tokens(&self) -> u64 {
         self.total_tokens

@@ -7,12 +7,18 @@
 //! * [`DenseMatrix`] — plain row-major storage, generic over the element type
 //!   (the paper compresses φ to 16-bit entries, `DenseMatrix<u16>`).
 //! * [`AtomicMatrix`] — `AtomicU32` storage shared between thread blocks
-//!   during the update kernels.  Blocks execute on real OS threads, so these
-//!   atomics are load-bearing, not simulation theater: they must stay
-//!   relaxed-ordering *additive* updates (commutative), which is what keeps
-//!   the accumulated counts independent of block scheduling.
+//!   during the update-φ kernel, laid out **column-major** so every column
+//!   (for φ: every word's `K` topic counts) is one contiguous run.  Blocks
+//!   execute on real OS threads, so these atomics are load-bearing, not
+//!   simulation theater: they must stay relaxed-ordering *additive* updates
+//!   (commutative), which is what keeps the accumulated counts independent
+//!   of block scheduling.
 
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+
+/// Side of the square tiles [`AtomicMatrix::to_dense`] transposes through.
+const TRANSPOSE_TILE: usize = 64;
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,8 +130,15 @@ impl DenseMatrix<u32> {
 }
 
 /// A dense matrix of `AtomicU32`, used where simulated thread blocks running
-/// on different host threads must update the same model replica (update-φ,
-/// §6.2, and the dense scratch row of update-θ).
+/// on different host threads must update the same model replica (the
+/// update-φ kernel, §6.2).
+///
+/// Storage is column-major: column `c` is the contiguous run
+/// `data[c * rows .. (c + 1) * rows]`, exposed by [`AtomicMatrix::col`].  For
+/// φ (`K × V`) that is one K-run per word, which is the axis both the
+/// word-major sampling kernels and the φ synchronization walk.  Element
+/// access by `(row, col)` and [`AtomicMatrix::to_dense`] (row-major) hide
+/// the layout from everything else.
 #[derive(Debug)]
 pub struct AtomicMatrix {
     rows: usize,
@@ -141,12 +154,12 @@ impl AtomicMatrix {
         AtomicMatrix { rows, cols, data }
     }
 
-    /// Copy a plain matrix into a fresh atomic one.
+    /// Copy a plain (row-major) matrix into a fresh atomic one.
     pub fn from_dense(m: &DenseMatrix<u32>) -> Self {
         let a = AtomicMatrix::zeros(m.rows(), m.cols());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                a.store(r, c, m.get(r, c));
+        for c in 0..m.cols() {
+            for (r, x) in a.col(c).iter().enumerate() {
+                x.store(m.get(r, c), Ordering::Relaxed);
             }
         }
         a
@@ -167,7 +180,13 @@ impl AtomicMatrix {
     #[inline]
     fn idx(&self, r: usize, c: usize) -> usize {
         debug_assert!(r < self.rows && c < self.cols);
-        r * self.cols + c
+        c * self.rows + r
+    }
+
+    /// Column `c` as one contiguous slice (`col(c)[r]` is element `(r, c)`).
+    #[inline]
+    pub fn col(&self, c: usize) -> &[AtomicU32] {
+        &self.data[c * self.rows..(c + 1) * self.rows]
     }
 
     /// Relaxed load of element `(r, c)`.
@@ -209,28 +228,36 @@ impl AtomicMatrix {
         }
     }
 
-    /// Snapshot into a plain matrix.
+    /// Snapshot into a plain row-major matrix.
+    ///
+    /// The transpose runs in parallel over bands of `TRANSPOSE_TILE` rows,
+    /// and within a band over tiles of as many columns: a tile reads one
+    /// short contiguous run per column and writes one short contiguous run
+    /// per row, so both sides stay in cache even for a `512 × 20 000` φ.
     pub fn to_dense(&self) -> DenseMatrix<u32> {
-        let data = self
-            .data
-            .iter()
-            .map(|x| x.load(Ordering::Relaxed))
-            .collect();
-        DenseMatrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Element-wise add another atomic matrix into `self`
-    /// (the reduce step of the φ synchronization, §5.2).
-    pub fn add_from(&self, other: &AtomicMatrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (dst, src) in self.data.iter().zip(&other.data) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = vec![0u32; rows * cols];
+        if cols > 0 {
+            out.par_chunks_mut(TRANSPOSE_TILE * cols)
+                .zip((0..rows.div_ceil(TRANSPOSE_TILE)).into_par_iter())
+                .for_each(|(band, b)| {
+                    let r0 = b * TRANSPOSE_TILE;
+                    let height = band.len() / cols;
+                    for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                        let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+                        for i in 0..height {
+                            let row = &mut band[i * cols + c0..i * cols + c1];
+                            for (dst, c) in row.iter_mut().zip(c0..c1) {
+                                *dst = self.data[c * rows + r0 + i].load(Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
         }
+        DenseMatrix::from_vec(rows, cols, out)
     }
 
-    /// Overwrite `self` with the contents of `other`
-    /// (the broadcast step of the φ synchronization, §5.2).
+    /// Overwrite `self` with the contents of `other`.
     pub fn copy_from(&self, other: &AtomicMatrix) {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
@@ -362,16 +389,58 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_from_and_copy_from() {
+    fn atomic_copy_from() {
         let a = AtomicMatrix::zeros(1, 3);
         let b = AtomicMatrix::zeros(1, 3);
-        a.fetch_add(0, 0, 1);
-        b.fetch_add(0, 0, 2);
-        b.fetch_add(0, 2, 9);
-        a.add_from(&b);
-        assert_eq!(a.to_dense().as_slice(), &[3, 0, 9]);
+        a.fetch_add(0, 0, 3);
+        a.fetch_add(0, 2, 9);
         b.copy_from(&a);
         assert_eq!(b.to_dense().as_slice(), &[3, 0, 9]);
+    }
+
+    #[test]
+    fn atomic_columns_are_contiguous_on_non_square_shapes() {
+        for (rows, cols) in [(3, 7), (7, 3), (1, 5), (5, 1), (17, 40), (40, 17)] {
+            let a = AtomicMatrix::zeros(rows, cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    a.store(r, c, (r * 1000 + c) as u32);
+                }
+            }
+            for c in 0..cols {
+                let col = a.col(c);
+                assert_eq!(col.len(), rows);
+                for (r, x) in col.iter().enumerate() {
+                    assert_eq!(x.load(Ordering::Relaxed), a.load(r, c));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn atomic_from_dense_and_to_dense_round_trip() {
+        // Shapes straddling the transpose tile, including empty matrices.
+        for (rows, cols) in [
+            (0, 4),
+            (4, 0),
+            (1, 1),
+            (2, 9),
+            (64, 5),
+            (65, 130),
+            (130, 65),
+        ] {
+            let data: Vec<u32> = (0..rows * cols)
+                .map(|i| (i as u32).wrapping_mul(2654435761) >> 7)
+                .collect();
+            let m = DenseMatrix::from_vec(rows, cols, data);
+            let a = AtomicMatrix::from_dense(&m);
+            assert_eq!(a.to_dense(), m, "{rows} x {cols}");
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(a.load(r, c), m.get(r, c));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * [`csr::CsrMatrix`] — compressed sparse row storage for the
 //!   document–topic matrix θ (16-bit column indices, §6.1.3 of the paper).
 //! * [`dense::DenseMatrix`] / [`dense::AtomicMatrix`] — dense storage for the
-//!   topic–word matrix φ, with an atomic variant used by the update-φ kernel.
+//!   topic–word matrix φ, with a column-major (word-major for φ) atomic
+//!   variant used by the update-φ kernel and the φ synchronization.
 //! * [`prefix`] — sequential and parallel prefix sums (used when compacting a
 //!   dense document row back into CSR, §6.2).
 //! * [`index_tree::IndexTree`] — the N-ary (32-way on NVIDIA GPUs) index tree

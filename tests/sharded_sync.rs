@@ -2,15 +2,20 @@
 //! must be a pure *scheduling* change — bit-identical topic assignments to
 //! the dense §5.2 reduce for every shard count, overlap depth and GPU
 //! topology — while the overlap measurably shrinks the exposed sync cost at
-//! realistic model sizes.
+//! realistic model sizes.  The host-side combination only recombines the
+//! words some chunk changed, so a dense oracle checks every replica after
+//! every iteration.
 
 use culda::baselines::CuLdaSolver;
-use culda::core::{CuLdaTrainer, LdaConfig, SessionBuilder, SyncPlan};
+use culda::core::{
+    CuLdaTrainer, LdaConfig, SamplerStrategy, SessionBuilder, StreamingSession, SyncPlan,
+};
 use culda::corpus::{Corpus, DatasetProfile};
 use culda::gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
 use culda_testkit::conformance::run_conformance;
 use culda_testkit::determinism::{assert_same_assignments, z_signature};
 use culda_testkit::{doc_lens, fixtures};
+use std::sync::atomic::Ordering;
 
 const K: usize = 8;
 const SEED: u64 = 2019;
@@ -177,4 +182,123 @@ fn overlap_reduces_the_exposed_sync_cost_at_realistic_scale() {
         "more shards must not expose more sync: S=8 {s8_exposed} vs S=4 {s4_exposed}"
     );
     assert!(s8_sim < dense_sim);
+}
+
+/// The dense oracle for the dirty-word sync: recount every chunk's φ and
+/// `n_k` contribution from its assignments, sum them over all K × V cells,
+/// and require every replica's `phi_global` / `nk_global` to equal that sum
+/// (and every `phi_local` / `nk_local` to equal its recount).
+fn assert_replicas_hold_the_dense_sum(trainer: &CuLdaTrainer, context: &str) {
+    let v = trainer.vocab_size();
+    let mut phi = vec![0u32; K * v];
+    let mut nk = vec![0i64; K];
+    for st in trainer.chunk_states() {
+        let mut local = vec![0u32; K * v];
+        let mut local_nk = vec![0i64; K];
+        for w in 0..v {
+            let (start, end) = st.layout.word_token_range(w);
+            for z in &st.z[start..end] {
+                let topic = z.load(Ordering::Relaxed) as usize;
+                local[topic * v + w] += 1;
+                local_nk[topic] += 1;
+            }
+        }
+        assert_eq!(
+            st.phi_local.to_dense().as_slice(),
+            &local[..],
+            "{context}: φ_local"
+        );
+        assert_eq!(st.nk_local.to_vec(), local_nk, "{context}: n_k local");
+        for (a, b) in phi.iter_mut().zip(&local) {
+            *a += b;
+        }
+        for (a, b) in nk.iter_mut().zip(&local_nk) {
+            *a += b;
+        }
+    }
+    for (c, st) in trainer.chunk_states().iter().enumerate() {
+        assert_eq!(
+            st.phi_global.to_dense().as_slice(),
+            &phi[..],
+            "{context}: chunk {c} φ"
+        );
+        assert_eq!(st.nk_global.to_vec(), nk, "{context}: chunk {c} n_k");
+        assert!(
+            st.dirty_words.iter().all(|f| !f.load(Ordering::Relaxed)),
+            "{context}: chunk {c} left dirty words after the sync"
+        );
+    }
+}
+
+/// Sparse, alias and light (pruned, with a short rebuild cadence) samplers.
+fn oracle_samplers() -> [SamplerStrategy; 3] {
+    [
+        SamplerStrategy::SparseCgs,
+        SamplerStrategy::AliasHybrid {
+            rebuild_every: 3,
+            mh_steps: 2,
+        },
+        SamplerStrategy::LightLda {
+            rebuild_every: 3,
+            mh_steps: 4,
+            prune_below: 4,
+        },
+    ]
+}
+
+#[test]
+fn every_replica_matches_a_dense_recount_after_every_iteration() {
+    let corpus = fixtures::medium(fixtures::FIXTURE_SEED);
+    for sampler in oracle_samplers() {
+        // 1 chunk (dense plan), and 4 chunks under an overlapped 3-shard plan.
+        for (gpus, shards) in [(1usize, 1usize), (4, 3)] {
+            let config = LdaConfig::with_topics(K)
+                .seed(SEED)
+                .sampler(sampler)
+                .sync_shards(shards)
+                .sync_overlap_depth(2);
+            let mut trainer = SessionBuilder::new()
+                .corpus(&corpus)
+                .config(config)
+                .system(system(gpus))
+                .build()
+                .expect("trainer");
+            assert_eq!(trainer.num_chunks(), gpus);
+            let context = format!("{sampler} on {gpus} chunk(s)");
+            assert_replicas_hold_the_dense_sum(&trainer, &format!("{context}, initial"));
+            for it in 0..7 {
+                trainer.run_iteration();
+                assert_replicas_hold_the_dense_sum(&trainer, &format!("{context}, iteration {it}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_replica_matches_a_dense_recount_across_ingest_retire_and_train() {
+    let corpus = fixtures::medium(fixtures::FIXTURE_SEED);
+    let batches = fixtures::doc_batches(&corpus, 3);
+    for sampler in oracle_samplers() {
+        let mut session = SessionBuilder::new()
+            .config(LdaConfig::with_topics(K).seed(SEED).sampler(sampler))
+            .system(system(2))
+            .build_streaming()
+            .expect("streaming session");
+        let check = |session: &mut StreamingSession, step: &str| {
+            for it in 0..2 {
+                session.run_iteration().expect("iteration");
+                let trainer = session.trainer().expect("a trained session has a trainer");
+                assert_replicas_hold_the_dense_sum(trainer, &format!("{sampler}, {step}, {it}"));
+            }
+        };
+        let first = session.ingest(&batches[0]);
+        check(&mut session, "first ingest");
+        session.ingest(&batches[1]);
+        check(&mut session, "second ingest");
+        session.retire(&first).expect("retire");
+        check(&mut session, "after retire");
+        session.ingest(&batches[2]);
+        check(&mut session, "third ingest");
+        session.validate().unwrap();
+    }
 }
