@@ -1,8 +1,6 @@
 //! The top-level CuLDA_CGS trainer (the training engine of Figure 3).
 //!
-//! Trainers are constructed through [`crate::session::SessionBuilder`]; the
-//! positional constructors on [`CuLdaTrainer`] are deprecated shims kept for
-//! source compatibility.
+//! Trainers are constructed through [`crate::session::SessionBuilder`].
 //!
 //! ```no_run
 //! use culda_core::{LdaConfig, SessionBuilder};
@@ -94,51 +92,16 @@ pub struct CuLdaTrainer {
 }
 
 impl CuLdaTrainer {
-    /// Build a trainer: validates the configuration, chooses `M` (chunks per
-    /// GPU) from the device memory capacity as §5.1 prescribes, partitions
-    /// the corpus by token count, preprocesses every chunk into its
-    /// word-major layout, randomly initialises the topic assignments and
-    /// performs the initial φ synchronization.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `culda_core::SessionBuilder::new().corpus(..).config(..).system(..).build()` \
-                — the builder is the supported entry point and also opens the \
-                streaming/online path via `.build_streaming()`"
-    )]
-    pub fn new(
-        corpus: &Corpus,
-        config: LdaConfig,
-        system: MultiGpuSystem,
-    ) -> Result<Self, TrainerError> {
-        Self::from_parts(corpus, config, system, None, None)
-    }
-
-    /// Build a trainer whose topic assignments are restored from an explicit
-    /// per-document snapshot (`z[doc][token]`, original token order) instead
-    /// of random initialisation — the `train --resume-from` path.  The
-    /// snapshot must cover exactly this corpus.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `culda_core::SessionBuilder::new().corpus(..).assignments(..).build()` \
-                (or `StreamingSession::resume` for rotated streaming checkpoints)"
-    )]
-    pub fn with_assignments(
-        corpus: &Corpus,
-        config: LdaConfig,
-        system: MultiGpuSystem,
-        z: &[Vec<u16>],
-        start_iteration: u64,
-    ) -> Result<Self, TrainerError> {
-        Self::from_parts(corpus, config, system, Some((z, start_iteration)), None)
-    }
-
-    /// The one real constructor, shared by the deprecated positional shims
-    /// and [`crate::session::SessionBuilder`]: `init` optionally restores an
-    /// explicit assignment snapshot together with the iteration counter to
-    /// continue the RNG streams from, and `sampler_state` optionally replays
-    /// checkpointed sampler-internal state (e.g. the alias hybrid's stale
-    /// tables) into the freshly built sampler so a mid-cadence resume is
-    /// bit-exact.
+    /// The one real constructor, behind [`crate::session::SessionBuilder`]:
+    /// it validates the configuration, chooses `M` (chunks per GPU) from the
+    /// device memory capacity as §5.1 prescribes, partitions the corpus by
+    /// token count, preprocesses every chunk into its word-major layout,
+    /// initialises the topic assignments and performs the initial φ
+    /// synchronization.  `init` optionally restores an explicit assignment
+    /// snapshot together with the iteration counter to continue the RNG
+    /// streams from, and `sampler_state` optionally replays checkpointed
+    /// sampler-internal state (e.g. the alias hybrid's stale tables) into the
+    /// freshly built sampler so a mid-cadence resume is bit-exact.
     pub(crate) fn from_parts(
         corpus: &Corpus,
         config: LdaConfig,
@@ -664,9 +627,7 @@ mod tests {
     use culda_corpus::DatasetProfile;
     use culda_gpusim::{DeviceSpec, Interconnect};
 
-    /// The non-deprecated construction path (what `SessionBuilder::build`
-    /// calls); the deprecated positional shims are covered by an explicit
-    /// equivalence test in `crate::session`.
+    /// The construction path `SessionBuilder::build` calls.
     fn build(
         corpus: &Corpus,
         config: LdaConfig,
