@@ -171,7 +171,8 @@ impl AliasLda {
     /// Stale per-word alias tables over `(φ_{k,v} + β)/(n_k + Vβ)`, rebuilt
     /// once per iteration exactly as the original system amortises them.
     /// Construction is the shared [`StaleAliasProposal`] of `culda-sparse`,
-    /// the same bundle the `AliasHybridSampler` kernel builds on the GPU.
+    /// the same bundle the `MhSampler` kernel's alias preset builds on the
+    /// GPU.
     fn build_word_proposals(&self) -> Vec<StaleAliasProposal> {
         let v_beta = self.beta * self.vocab_size as f64;
         (0..self.vocab_size)

@@ -167,7 +167,7 @@ pub struct ModelCheckpoint {
     /// it.  v1/v2 files load as [`SamplerStrategy::SparseCgs`].
     pub sampler: SamplerStrategy,
     /// Sampler-internal state needed for a bit-exact mid-cadence resume
-    /// (the alias hybrid's stale-table snapshot); `None` for memoryless
+    /// (the MH sampler's stale-table snapshot); `None` for memoryless
     /// strategies and for files older than v4.
     pub sampler_state: Option<SamplerResumeState>,
 }
@@ -265,45 +265,39 @@ impl ModelCheckpoint {
         if self.sampler.is_auto() {
             return Err("checkpoints must store the resolved sampler strategy, not `auto`".into());
         }
-        match &self.sampler_state {
-            Some(SamplerResumeState::AliasTables {
-                built_at,
-                phi_hat,
-                nk_hat,
-            }) => {
-                if !matches!(self.sampler, SamplerStrategy::AliasHybrid { .. }) {
-                    return Err("alias-tables resume state on a non-alias sampler".into());
-                }
-                if phi_hat.rows() != self.num_topics || phi_hat.cols() != self.vocab_size {
-                    return Err("φ̂ snapshot shape does not match K × V".into());
-                }
+        if let Some(state) = &self.sampler_state {
+            let (fits, mismatch, tables) = match state {
+                SamplerResumeState::AliasTables { .. } => (
+                    matches!(self.sampler, SamplerStrategy::AliasHybrid { .. }),
+                    "alias-tables resume state on a non-alias sampler",
+                    "alias tables",
+                ),
+                SamplerResumeState::LightWordTables { .. } => (
+                    matches!(self.sampler, SamplerStrategy::LightLda { .. }),
+                    "light word-table resume state on a non-light sampler",
+                    "word proposals",
+                ),
+            };
+            if !fits {
+                return Err(mismatch.into());
+            }
+            let phi_hat = state.phi_hat();
+            if phi_hat.rows() != self.num_topics || phi_hat.cols() != self.vocab_size {
+                return Err("φ̂ snapshot shape does not match K × V".into());
+            }
+            if let SamplerResumeState::AliasTables { nk_hat, .. } = state {
                 if nk_hat.len() != self.num_topics {
                     return Err("n̂_k snapshot length does not match K".into());
                 }
-                if *built_at >= self.iterations {
-                    return Err(format!(
-                        "alias tables claim to be built at iteration {built_at}, but only {} \
-                         iterations completed",
-                        self.iterations
-                    ));
-                }
             }
-            Some(SamplerResumeState::LightWordTables { built_at, phi_hat }) => {
-                if !matches!(self.sampler, SamplerStrategy::LightLda { .. }) {
-                    return Err("light word-table resume state on a non-light sampler".into());
-                }
-                if phi_hat.rows() != self.num_topics || phi_hat.cols() != self.vocab_size {
-                    return Err("φ̂ snapshot shape does not match K × V".into());
-                }
-                if *built_at >= self.iterations {
-                    return Err(format!(
-                        "word proposals claim to be built at iteration {built_at}, but only {} \
-                         iterations completed",
-                        self.iterations
-                    ));
-                }
+            let built_at = state.built_at();
+            if built_at >= self.iterations {
+                return Err(format!(
+                    "{tables} claim to be built at iteration {built_at}, but only {} \
+                     iterations completed",
+                    self.iterations
+                ));
             }
-            None => {}
         }
         Ok(())
     }
@@ -382,25 +376,18 @@ impl ModelCheckpoint {
         }
         match &self.sampler_state {
             None => w.write_all(&[0u8])?,
-            Some(SamplerResumeState::AliasTables {
-                built_at,
-                phi_hat,
-                nk_hat,
-            }) => {
-                w.write_all(&[1u8])?;
-                w.write_all(&built_at.to_le_bytes())?;
-                for &c in phi_hat.as_slice() {
+            Some(state) => {
+                let flag = match state {
+                    SamplerResumeState::AliasTables { .. } => 1u8,
+                    SamplerResumeState::LightWordTables { .. } => 2u8,
+                };
+                w.write_all(&[flag])?;
+                w.write_all(&state.built_at().to_le_bytes())?;
+                for &c in state.phi_hat().as_slice() {
                     w.write_all(&c.to_le_bytes())?;
                 }
-                for &n in nk_hat {
+                for &n in state.nk_hat() {
                     w.write_all(&n.to_le_bytes())?;
-                }
-            }
-            Some(SamplerResumeState::LightWordTables { built_at, phi_hat }) => {
-                w.write_all(&[2u8])?;
-                w.write_all(&built_at.to_le_bytes())?;
-                for &c in phi_hat.as_slice() {
-                    w.write_all(&c.to_le_bytes())?;
                 }
             }
         }
@@ -549,32 +536,27 @@ impl ModelCheckpoint {
             r.read_exact(&mut flag)?;
             match flag[0] {
                 0 => None,
-                1 => {
+                // 1 = alias tables (φ̂ + n̂); 2 = light word tables (φ̂ only, v5+).
+                flag @ (1 | 2) if flag == 1 || version >= 5 => {
                     let built_at = read_u64(&mut r)?;
                     let mut phi_hat = Vec::with_capacity(phi_len.min(MAX_PREALLOC));
                     for _ in 0..phi_len {
                         phi_hat.push(read_u32(&mut r)?);
                     }
-                    let mut nk_hat = Vec::with_capacity(num_topics.min(MAX_PREALLOC));
-                    for _ in 0..num_topics {
-                        nk_hat.push(read_i64(&mut r)?);
+                    let phi_hat = DenseMatrix::from_vec(num_topics, vocab_size, phi_hat);
+                    if flag == 2 {
+                        Some(SamplerResumeState::LightWordTables { built_at, phi_hat })
+                    } else {
+                        let mut nk_hat = Vec::with_capacity(num_topics.min(MAX_PREALLOC));
+                        for _ in 0..num_topics {
+                            nk_hat.push(read_i64(&mut r)?);
+                        }
+                        Some(SamplerResumeState::AliasTables {
+                            built_at,
+                            phi_hat,
+                            nk_hat,
+                        })
                     }
-                    Some(SamplerResumeState::AliasTables {
-                        built_at,
-                        phi_hat: DenseMatrix::from_vec(num_topics, vocab_size, phi_hat),
-                        nk_hat,
-                    })
-                }
-                2 if version >= 5 => {
-                    let built_at = read_u64(&mut r)?;
-                    let mut phi_hat = Vec::with_capacity(phi_len.min(MAX_PREALLOC));
-                    for _ in 0..phi_len {
-                        phi_hat.push(read_u32(&mut r)?);
-                    }
-                    Some(SamplerResumeState::LightWordTables {
-                        built_at,
-                        phi_hat: DenseMatrix::from_vec(num_topics, vocab_size, phi_hat),
-                    })
                 }
                 other => {
                     return Err(CheckpointError::Corrupt(format!(

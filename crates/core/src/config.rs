@@ -112,25 +112,21 @@ impl SamplerStrategy {
             SamplerStrategy::AliasHybrid {
                 rebuild_every,
                 mh_steps,
-            } => {
-                if rebuild_every == 0 {
-                    return Err("alias rebuild_every must be at least 1".into());
-                }
-                if mh_steps == 0 {
-                    return Err("alias mh_steps must be at least 1".into());
-                }
-                Ok(())
             }
-            SamplerStrategy::LightLda {
+            | SamplerStrategy::LightLda {
                 rebuild_every,
                 mh_steps,
                 ..
             } => {
+                let name = match self {
+                    SamplerStrategy::AliasHybrid { .. } => "alias",
+                    _ => "light",
+                };
                 if rebuild_every == 0 {
-                    return Err("light rebuild_every must be at least 1".into());
+                    return Err(format!("{name} rebuild_every must be at least 1"));
                 }
                 if mh_steps == 0 {
-                    return Err("light mh_steps must be at least 1".into());
+                    return Err(format!("{name} mh_steps must be at least 1"));
                 }
                 Ok(())
             }

@@ -9,22 +9,20 @@
 //! The *sampling* kernel is pluggable: the scheduler drives any
 //! [`SamplerKernel`] (see [`sampler`] and `DESIGN.md` §10), selected through
 //! [`crate::LdaConfig::sampler`].  [`SparseCgsSampler`] is the paper's §6.1
-//! kernel and the default; [`AliasHybridSampler`] is the stale-alias-table +
-//! Metropolis–Hastings hybrid; [`LightLdaSampler`] is the LightLDA cycled
-//! doc-/word-proposal MH kernel ([`portfolio`] picks among the three for
-//! [`crate::SamplerStrategy::Auto`] runs).  The update kernels are shared by
-//! every sampler.
+//! kernel and the default; [`MhSampler`] is the stale-proposal
+//! Metropolis–Hastings kernel behind the AliasLDA-style mixture preset and
+//! the LightLDA-style cycle presets ([`portfolio`] picks among the three
+//! strategies for [`crate::SamplerStrategy::Auto`] runs).  The update
+//! kernels are shared by every sampler.
 
-pub mod alias_hybrid;
-pub mod lightlda;
+pub mod mh;
 pub mod portfolio;
 pub mod sampler;
 pub mod sampling;
 pub mod update_phi;
 pub mod update_theta;
 
-pub use alias_hybrid::AliasHybridSampler;
-pub use lightlda::LightLdaSampler;
+pub use mh::{MhProposal, MhSampler};
 pub use portfolio::{auto_select_sampler, ChunkStatistics};
 pub use sampler::{sampler_for, sampler_for_strategy, SamplerKernel, SamplerResumeState};
 pub use sampling::{SparseCgsBlock, SparseCgsSampler};
@@ -39,8 +37,8 @@ pub mod names {
     pub const UPDATE_THETA: &str = "Update theta";
     /// The φ-update kernel.
     pub const UPDATE_PHI: &str = "Update phi";
-    /// The stale alias-table build of [`super::AliasHybridSampler`].
+    /// The stale word-table build of [`super::MhProposal::Mixture`].
     pub const ALIAS_BUILD: &str = "Alias build";
-    /// The stale word-proposal build of [`super::LightLdaSampler`].
+    /// The stale word-proposal build of [`super::MhProposal::Cycle`].
     pub const LIGHT_BUILD: &str = "Word-proposal build";
 }

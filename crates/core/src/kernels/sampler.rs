@@ -4,13 +4,14 @@
 //! this module does the same for the *kernel layer*: the scheduler no longer
 //! hard-codes the §6.1 S/Q-split kernel but drives any [`SamplerKernel`],
 //! selected through [`LdaConfig::sampler`] ([`SamplerStrategy`]).  Two
-//! implementations ship today:
+//! implementations ship today, behind three strategies:
 //!
 //! * [`SparseCgsSampler`](crate::kernels::SparseCgsSampler) — the paper's
 //!   exact collapsed Gibbs kernel (the default);
-//! * [`AliasHybridSampler`](crate::kernels::AliasHybridSampler) — stale
-//!   per-word alias tables with a Metropolis–Hastings correction
-//!   (AliasLDA-style), closing the ROADMAP's alias-table hybrid item.
+//! * [`MhSampler`] — stale per-word proposal tables with a
+//!   Metropolis–Hastings correction, either as the AliasLDA-style mixture
+//!   ([`SamplerStrategy::AliasHybrid`]) or as the LightLDA-style doc/word
+//!   cycle ([`SamplerStrategy::LightLda`]).
 //!
 //! A sampler owns three responsibilities (`DESIGN.md` §10):
 //!
@@ -33,6 +34,7 @@
 //! strategy.
 
 use crate::config::{LdaConfig, SamplerStrategy};
+use crate::kernels::mh::{MhProposal, MhSampler};
 use crate::model::ChunkState;
 use crate::work::WorkItem;
 use culda_gpusim::{BlockKernel, Device};
@@ -50,7 +52,7 @@ pub const BURN_STREAM_BASE: u64 = u64::MAX - 2;
 ///
 /// The model state (`z`, φ, θ, the iteration counter) reconstructs every
 /// *memoryless* sampler exactly, but a strategy that keeps state *between*
-/// iterations — the alias hybrid's stale tables, rebuilt only every
+/// iterations — the MH sampler's stale proposal tables, rebuilt only every
 /// `rebuild_every` iterations — would otherwise restart that state fresh on
 /// resume and diverge from the uninterrupted run until the next rebuild.
 /// [`SamplerKernel::resume_state`] captures the inputs needed to reconstruct
@@ -58,7 +60,7 @@ pub const BURN_STREAM_BASE: u64 = u64::MAX - 2;
 /// them into a freshly built sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplerResumeState {
-    /// The global snapshot the alias hybrid's stale tables were last built
+    /// The global snapshot the alias preset's stale tables were last built
     /// from.  Per-chunk proposal tables are deterministically reconstructed
     /// from it (the same `(φ̂ + β) / (n̂ + Vβ)` arithmetic as the build
     /// kernel), so they do not need to be serialized themselves.
@@ -71,11 +73,11 @@ pub enum SamplerResumeState {
         /// The topic totals at `built_at`.
         nk_hat: Vec<i64>,
     },
-    /// The global snapshot the LightLDA sampler's stale word proposals were
+    /// The global snapshot the light presets' stale word proposals were
     /// last built from.  Word proposals depend only on `φ̂ + β` (the
     /// normalizer cancels in the MH acceptance ratio), so no topic totals
     /// are carried; per-chunk tables are reconstructed deterministically on
-    /// resume exactly as the alias hybrid's are.
+    /// resume exactly as the alias preset's are.
     LightWordTables {
         /// Iteration the word proposals were built at; resume keeps the
         /// rebuild cadence anchored to the original grid.
@@ -83,6 +85,33 @@ pub enum SamplerResumeState {
         /// The synchronized φ at `built_at` (`K × V`).
         phi_hat: DenseMatrix<u32>,
     },
+}
+
+impl SamplerResumeState {
+    /// Iteration the tables were built at.
+    pub fn built_at(&self) -> u64 {
+        match self {
+            SamplerResumeState::AliasTables { built_at, .. }
+            | SamplerResumeState::LightWordTables { built_at, .. } => *built_at,
+        }
+    }
+
+    /// The synchronized φ the tables were built from (`K × V`).
+    pub fn phi_hat(&self) -> &DenseMatrix<u32> {
+        match self {
+            SamplerResumeState::AliasTables { phi_hat, .. }
+            | SamplerResumeState::LightWordTables { phi_hat, .. } => phi_hat,
+        }
+    }
+
+    /// The topic totals the tables were built from (empty for the word
+    /// tables, which do not need them).
+    pub fn nk_hat(&self) -> &[i64] {
+        match self {
+            SamplerResumeState::AliasTables { nk_hat, .. } => nk_hat,
+            SamplerResumeState::LightWordTables { .. } => &[],
+        }
+    }
 }
 
 /// A pluggable sampling-kernel implementation.
@@ -187,18 +216,15 @@ pub fn sampler_for_strategy(strategy: SamplerStrategy) -> Arc<dyn SamplerKernel>
         SamplerStrategy::AliasHybrid {
             rebuild_every,
             mh_steps,
-        } => Arc::new(crate::kernels::AliasHybridSampler::new(
-            rebuild_every,
-            mh_steps,
-        )),
+        } => Arc::new(MhSampler::new(MhProposal::Mixture, rebuild_every, mh_steps)),
         SamplerStrategy::LightLda {
             rebuild_every,
             mh_steps,
             prune_below,
-        } => Arc::new(crate::kernels::LightLdaSampler::new(
+        } => Arc::new(MhSampler::new(
+            MhProposal::Cycle { prune_below },
             rebuild_every,
             mh_steps,
-            prune_below,
         )),
         SamplerStrategy::Auto => panic!(
             "SamplerStrategy::Auto must be resolved to a concrete strategy \

@@ -12,7 +12,7 @@
 //! | §5.1 scheduling algorithm (`WorkSchedule1`/`WorkSchedule2`) | [`schedule`] |
 //! | §5.2 φ synchronization (tree reduce + broadcast; dense or vocabulary-sharded with sampling overlap, DESIGN.md §8; two-tier hierarchical on multi-node clusters, DESIGN.md §14) | [`sync`] |
 //! | §6.1 sampling kernel (sparsity-aware S/Q decomposition, 32-way index trees, warp-per-sampler, shared p2 tree, p*(k) reuse, 16-bit compression) | [`kernels::sampling`], [`work`] |
-//! | pluggable sampler kernels (trait API + stale-alias/MH hybrid, DESIGN.md §10) | [`kernels::sampler`], [`kernels::alias_hybrid`] |
+//! | pluggable sampler kernels (trait API + stale-proposal MH sampler with AliasLDA- and LightLDA-style presets, DESIGN.md §10/§13) | [`kernels::sampler`], [`kernels::mh`] |
 //! | §6.2 model update kernels (atomic φ update, dense-scatter + prefix-sum θ rebuild) | [`kernels::update_phi`], [`kernels::update_theta`] |
 //! | training loop / public API | [`session::SessionBuilder`], [`trainer::CuLdaTrainer`], [`config::LdaConfig`] |
 //! | streaming/online training (ingest · retire · rotate, DESIGN.md §9) | [`session::StreamingSession`] |
@@ -51,8 +51,8 @@ pub use convergence::{train_until_converged, ConvergenceMonitor, EarlyStopper};
 pub use hyper::{optimize_alpha, optimize_beta, HyperOptOptions, HyperUpdate};
 pub use inference::{DocumentTopics, InferenceError, InferenceOptions, TopicInferencer};
 pub use kernels::{
-    auto_select_sampler, sampler_for, sampler_for_strategy, AliasHybridSampler, ChunkStatistics,
-    LightLdaSampler, SamplerKernel, SamplerResumeState, SparseCgsSampler,
+    auto_select_sampler, sampler_for, sampler_for_strategy, ChunkStatistics, MhProposal, MhSampler,
+    SamplerKernel, SamplerResumeState, SparseCgsSampler,
 };
 pub use model::{ChunkState, TopicTotals};
 pub use schedule::{IterationStats, ScheduleKind};
@@ -61,8 +61,7 @@ pub use session::{
     SessionBuilder, SessionError, SessionStats, StreamingOptions, StreamingSession, TrainingSession,
 };
 pub use sync::{
-    synchronize_phi, synchronize_phi_hier_sharded, synchronize_phi_sharded, HierarchicalSyncPlan,
-    ShardedSyncStats, SyncPlan, SyncStats,
+    synchronize_phi_hier_sharded, HierarchicalSyncPlan, ShardedSyncStats, SyncPlan, SyncStats,
 };
 pub use trainer::{CuLdaTrainer, TrainerError};
 pub use work::{build_work_items, WorkItem};

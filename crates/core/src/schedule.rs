@@ -61,9 +61,11 @@ pub struct IterationStats {
     /// Max-over-devices sampler setup + sampling + update-φ time (the part
     /// that cannot overlap with the synchronization).
     pub compute_time_s: f64,
-    /// Max-over-devices per-iteration sampler setup time (e.g. the stale
-    /// alias-table rebuild of [`crate::kernels::AliasHybridSampler`]; 0 for
-    /// the default sparse-CGS sampler and on non-rebuild iterations).
+    /// Max-over-devices per-iteration sampler setup time: the stale
+    /// proposal-table rebuild of [`crate::kernels::MhSampler`] (the `Alias
+    /// build` or `Word-proposal build` launch of the alias and light
+    /// presets); 0 for the default sparse-CGS sampler and on non-rebuild
+    /// iterations.
     /// Included in [`IterationStats::compute_time_s`].
     pub sampler_setup_time_s: f64,
     /// Max-over-devices update-θ time (overlapped with the synchronization).
@@ -153,7 +155,7 @@ pub fn run_iteration(
                 let items = &work_items[chunk_idx];
                 let mut chunk_compute = 0.0f64;
 
-                // Per-iteration sampler setup (e.g. the stale alias-table
+                // Per-iteration sampler setup (e.g. the stale proposal-table
                 // rebuild on its cadence); free for the default sampler.
                 let setup = sampler.prepare_chunk(device, state, config, iteration);
                 times.setup_s += setup;
@@ -356,7 +358,7 @@ mod tests {
         );
         // Fill every chunk's global φ replica before the first iteration,
         // exactly as the trainer does at construction time.
-        crate::sync::synchronize_phi(&states, &system, cfg.compress_16bit);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, cfg.compress_16bit);
         (states, items, system, cfg)
     }
 

@@ -250,7 +250,7 @@ impl SessionBuilder {
     /// Restore checkpointed sampler-internal state
     /// ([`crate::ModelCheckpoint::sampler_state`]) alongside the assignment
     /// snapshot, so a sampler that keeps state between iterations — the
-    /// alias hybrid's stale tables — resumes mid-cadence bit-exactly
+    /// MH sampler's stale tables — resumes mid-cadence bit-exactly
     /// instead of rebuilding fresh tables from the current φ.  `None` is
     /// accepted (and is all a memoryless sampler ever has).
     pub fn sampler_state(mut self, state: Option<SamplerResumeState>) -> Self {
@@ -619,9 +619,9 @@ impl StreamingSession {
         // Burn the document in against the current global φ, document-major
         // so batching cannot change the order of draws.  The sweep itself is
         // the configured sampler's [`SamplerKernel::burn_in_sweep`]: exact
-        // collapsed Gibbs for the default sparse-CGS strategy, stale-alias +
-        // MH for the alias hybrid — either way every draw is keyed by
-        // `(uid, slot)`.
+        // collapsed Gibbs for the default sparse-CGS strategy, the
+        // stale-proposal MH chain for the alias and light presets — either
+        // way every draw is keyed by `(uid, slot)`.
         for sweep in 0..self.opts.burn_in_sweeps {
             self.sampler.burn_in_sweep(
                 &self.config,

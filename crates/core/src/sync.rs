@@ -413,46 +413,21 @@ pub(crate) fn hier_shard_times(
 }
 
 /// Combine every chunk's `phi_local` / `nk_local` into each chunk's
-/// `phi_global` / `nk_global` with the dense single-barrier schedule of §5.2,
-/// and return the simulated cost of the tree reduce + broadcast.
+/// `phi_global` / `nk_global` and return the per-shard simulated costs of
+/// the tree schedules under `plan`.
+///
+/// [`HierarchicalSyncPlan::dense`] is the paper's single-barrier schedule of
+/// §5.2.  A sharded plan costs one tree reduce + broadcast per vocabulary
+/// shard over token-balanced column ranges; on a multi-node system with the
+/// hierarchy enabled, each shard is costed as its per-node tree reduce +
+/// broadcast and every fabric group's reduced columns cross the inter-node
+/// fabric once, folded into the group's last shard.  The functional result
+/// is bit-identical for every plan: each global cell is an integer sum of
+/// the chunk contributions, and grouping the columns into shards does not
+/// change any of the sums.  Only the costed barrier structure differs.
 ///
 /// `compress_16bit` selects the per-element transfer size (§6.1.3 halves the
 /// synchronization volume as well as the kernel traffic).
-pub fn synchronize_phi(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    compress_16bit: bool,
-) -> SyncStats {
-    synchronize_phi_sharded(states, system, &SyncPlan::dense(), compress_16bit).stats
-}
-
-/// Combine every chunk's `phi_local` / `nk_local` into each chunk's
-/// `phi_global` / `nk_global`, one vocabulary shard at a time, and return the
-/// per-shard simulated costs of the tree schedules.
-///
-/// The functional result is bit-identical to [`synchronize_phi`] for every
-/// plan: each global cell is an integer sum of the chunk contributions, and
-/// grouping the columns into shards does not change any of the sums.  Only
-/// the costed barrier structure differs.
-pub fn synchronize_phi_sharded(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    plan: &SyncPlan,
-    compress_16bit: bool,
-) -> ShardedSyncStats {
-    synchronize_phi_hier_sharded(
-        states,
-        system,
-        &HierarchicalSyncPlan::flat(*plan),
-        compress_16bit,
-    )
-}
-
-/// [`synchronize_phi_sharded`] under a [`HierarchicalSyncPlan`]: on a
-/// multi-node system with the hierarchy enabled, each shard is costed as its
-/// per-node tree reduce + broadcast and every fabric group's reduced columns
-/// cross the inter-node fabric once, folded into the group's last shard.
-/// The functional result is bit-identical to every other schedule.
 pub fn synchronize_phi_hier_sharded(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -502,28 +477,8 @@ fn combine_dirty_words(states: &[Arc<ChunkState>]) {
     });
 }
 
-/// Synchronize over an explicit, already-resolved set of contiguous column
-/// ranges with the *flat* single-tier cost model (every tree round over the
-/// system interconnect — on a cluster, the fabric).  Kept as the LDA*-style
-/// baseline; the scheduler routes through
-/// [`synchronize_phi_hier_over_ranges`].
-pub fn synchronize_phi_over_ranges(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    ranges: Vec<Range<usize>>,
-    compress_16bit: bool,
-) -> ShardedSyncStats {
-    synchronize_phi_hier_over_ranges(
-        states,
-        system,
-        ranges,
-        compress_16bit,
-        &HierarchicalSyncPlan::flat(SyncPlan::dense()),
-    )
-}
-
-/// The workhorse behind every synchronize variant: combine every chunk's φ
-/// and `n_k` into every replica, and cost an explicit, already-resolved set
+/// The workhorse behind [`synchronize_phi_hier_sharded`]: combine every
+/// chunk's φ and `n_k` into every replica, and cost an explicit, already-resolved set
 /// of contiguous column ranges (which must cover `0..V` in order) under
 /// `plan`.  Exposed so the scheduler can resolve the ranges once per
 /// iteration and reuse them for its compute-overlap weights.  The ranges
@@ -593,6 +548,8 @@ mod tests {
     use culda_gpusim::{Device, DeviceSpec, Interconnect, LaunchConfig};
     use culda_sparse::DenseMatrix;
 
+    const DENSE: HierarchicalSyncPlan = HierarchicalSyncPlan::dense();
+
     fn make_states(corpus: &Corpus, chunks: usize, k: usize) -> Vec<Arc<ChunkState>> {
         let partitioner = Partitioner::by_tokens(corpus, chunks);
         let cfg = LdaConfig::with_topics(k);
@@ -630,7 +587,7 @@ mod tests {
         let states = make_states(&corpus, 3, 6);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 3, 1, Interconnect::Pcie3);
-        let stats = synchronize_phi(&states, &system, true);
+        let stats = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
         assert!(stats.time_s > 0.0);
         assert_eq!(stats.num_devices, 3);
 
@@ -655,7 +612,7 @@ mod tests {
         let corpus = corpus();
         let states = make_states(&corpus, 1, 4);
         let system = MultiGpuSystem::single(DeviceSpec::v100_volta(), 3);
-        let stats = synchronize_phi(&states, &system, true);
+        let stats = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
         assert_eq!(stats.time_s, 0.0);
         assert_eq!(
             states[0].phi_global.to_dense().total(),
@@ -669,8 +626,8 @@ mod tests {
         let states = make_states(&corpus, 2, 4);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 2, 1, Interconnect::Pcie3);
-        let a = synchronize_phi(&states, &system, true);
-        let b = synchronize_phi(&states, &system, false);
+        let a = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
+        let b = synchronize_phi_hier_sharded(&states, &system, &DENSE, false).stats;
         assert!(b.replica_bytes > a.replica_bytes);
         assert!(b.time_s > a.time_s);
     }
@@ -682,11 +639,16 @@ mod tests {
         let sharded_states = make_states(&corpus, 3, 6);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 3, 1, Interconnect::Pcie3);
-        synchronize_phi(&dense_states, &system, true);
+        synchronize_phi_hier_sharded(&dense_states, &system, &DENSE, true);
         // V = 60 is not divisible by 7: the remainder shards must still
         // cover every column exactly once.
         let plan = SyncPlan::new(7, 2);
-        let stats = synchronize_phi_sharded(&sharded_states, &system, &plan, true);
+        let stats = synchronize_phi_hier_sharded(
+            &sharded_states,
+            &system,
+            &HierarchicalSyncPlan::flat(plan),
+            true,
+        );
         assert_eq!(stats.per_shard_time_s.len(), 7);
         for (d, s) in dense_states.iter().zip(&sharded_states) {
             assert_eq!(d.phi_global.to_dense(), s.phi_global.to_dense());
@@ -700,8 +662,13 @@ mod tests {
         let states = make_states(&corpus, 2, 4);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 2, 1, Interconnect::Pcie3);
-        let dense = synchronize_phi(&states, &system, true);
-        let sharded = synchronize_phi_sharded(&states, &system, &SyncPlan::new(1, 4), true);
+        let dense = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
+        let sharded = synchronize_phi_hier_sharded(
+            &states,
+            &system,
+            &HierarchicalSyncPlan::flat(SyncPlan::new(1, 4)),
+            true,
+        );
         assert_eq!(sharded.per_shard_time_s.len(), 1);
         assert_eq!(sharded.stats, dense);
     }
@@ -712,8 +679,13 @@ mod tests {
         let states = make_states(&corpus, 4, 8);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 4, 1, Interconnect::Pcie3);
-        let dense = synchronize_phi(&states, &system, true);
-        let sharded = synchronize_phi_sharded(&states, &system, &SyncPlan::new(4, 2), true);
+        let dense = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
+        let sharded = synchronize_phi_hier_sharded(
+            &states,
+            &system,
+            &HierarchicalSyncPlan::flat(SyncPlan::new(4, 2)),
+            true,
+        );
         assert_eq!(sharded.stats.replica_bytes, dense.replica_bytes);
         assert!(sharded.stats.time_s >= dense.time_s);
         // The tiny test replica is latency-bound, so the worst case is one
@@ -910,7 +882,7 @@ mod tests {
         assert!(states
             .iter()
             .all(|st| dirty_count(st) == corpus.vocab_size()));
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         assert_synced(&states);
         assert!(states.iter().all(|st| dirty_count(st) == 0));
         let before: Vec<_> = states.iter().map(|st| st.phi_global.to_dense()).collect();
@@ -918,7 +890,7 @@ mod tests {
         // z_next == z after initialisation: the kernel moves no token.
         update_phi(&states);
         assert!(states.iter().all(|st| dirty_count(st) == 0));
-        let again = synchronize_phi(&states, &system, true);
+        let again = synchronize_phi_hier_sharded(&states, &system, &DENSE, true).stats;
         for (st, b) in states.iter().zip(&before) {
             assert_eq!(&st.phi_global.to_dense(), b);
         }
@@ -927,7 +899,7 @@ mod tests {
         // The simulated cost still charges the full replica.
         assert_eq!(
             again,
-            synchronize_phi(&make_states(&corpus, 3, 6), &system, true)
+            synchronize_phi_hier_sharded(&make_states(&corpus, 3, 6), &system, &DENSE, true).stats
         );
     }
 
@@ -936,7 +908,7 @@ mod tests {
         let corpus = corpus();
         let states = make_states(&corpus, 2, 6);
         let system = pcie(2);
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         // Move every token of word 0 in chunk 1 to another topic.
         let st = &states[1];
         let (start, end) = st.layout.word_token_range(0);
@@ -949,7 +921,7 @@ mod tests {
         assert_eq!(dirty_count(&states[0]), 0);
         assert_eq!(dirty_count(st), 1);
         assert!(st.dirty_words[0].load(Ordering::Relaxed));
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         assert_synced(&states);
         assert!(states.iter().all(|st| dirty_count(st) == 0));
     }
@@ -959,7 +931,7 @@ mod tests {
         let corpus = corpus();
         let states = make_states(&corpus, 3, 6);
         let system = pcie(3);
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         // Reassign chunk 2's tokens behind the update kernel's back, then
         // recount: the recount alone must flag every word.
         let st = &states[2];
@@ -968,7 +940,7 @@ mod tests {
         }
         st.rebuild_phi_local();
         assert_eq!(dirty_count(st), corpus.vocab_size());
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         assert_synced(&states);
         assert!(states.iter().all(|st| dirty_count(st) == 0));
     }
@@ -978,7 +950,7 @@ mod tests {
         let corpus = corpus();
         let states = make_states(&corpus, 2, 6);
         let system = pcie(2);
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         // Every token of chunk 0 on topic 5.
         let z: Vec<Vec<u16>> = (0..corpus.num_docs())
             .map(|d| vec![5u16; corpus.doc(d).len()])
@@ -986,7 +958,7 @@ mod tests {
         states[0].init_from_assignments(&z);
         assert_eq!(dirty_count(&states[0]), corpus.vocab_size());
         assert_eq!(dirty_count(&states[1]), 0);
-        synchronize_phi(&states, &system, true);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, true);
         assert_synced(&states);
         assert_eq!(states[0].nk_local.get(5), states[0].num_tokens() as i64);
     }

@@ -71,7 +71,7 @@ pub struct CuLdaTrainer {
     sync_plan: HierarchicalSyncPlan,
     /// The pluggable sampling-kernel implementation
     /// ([`LdaConfig::sampler`]); owns whatever per-chunk state the strategy
-    /// keeps between iterations (e.g. stale alias tables).
+    /// keeps between iterations (e.g. stale MH proposal tables).
     sampler: Arc<dyn SamplerKernel>,
     vocab_size: usize,
     num_docs: usize,
@@ -100,7 +100,7 @@ impl CuLdaTrainer {
     /// synchronization.  `init` optionally restores an explicit assignment
     /// snapshot together with the iteration counter to continue the RNG
     /// streams from, and `sampler_state` optionally replays checkpointed
-    /// sampler-internal state (e.g. the alias hybrid's stale tables) into the
+    /// sampler-internal state (e.g. the MH sampler's stale tables) into the
     /// freshly built sampler so a mid-cadence resume is bit-exact.
     pub(crate) fn from_parts(
         corpus: &Corpus,
@@ -475,7 +475,7 @@ impl CuLdaTrainer {
         );
         if std::mem::take(&mut self.auto_tune_shards) {
             // Iteration 0 may have paid one-off sampler setup (e.g. a full
-            // alias-table build); let the sampler amortise it before the
+            // proposal-table build); let the sampler amortise it before the
             // span prediction, so periodic work does not skew the plan.
             let steady = self
                 .sampler

@@ -69,8 +69,8 @@ pub fn build_work_items(layout: &ChunkLayout, max_per_block: usize) -> Vec<WorkI
 }
 
 /// The words with at least one token in a chunk, ascending by word id — the
-/// grid of any per-word auxiliary kernel (e.g. the alias-build kernel of
-/// [`crate::kernels::AliasHybridSampler`], one block per word).
+/// grid of any per-word auxiliary kernel (e.g. the proposal-build kernel of
+/// [`crate::kernels::MhSampler`], one block per word).
 pub fn chunk_words(layout: &ChunkLayout) -> Vec<u32> {
     (0..layout.vocab_size)
         .filter(|&v| {

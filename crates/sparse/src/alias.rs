@@ -6,7 +6,7 @@
 //!
 //! * the WarpLDA and AliasLDA CPU baselines (Metropolis–Hastings samplers
 //!   whose word-proposal distribution comes from a per-word alias table), and
-//! * the `AliasHybridSampler` GPU kernel in `culda-core`, which replaces the
+//! * the `MhSampler` GPU kernel in `culda-core`, which replaces the
 //!   per-word dense index tree with a stale alias table plus an MH
 //!   correction against the fresh φ.
 //!
@@ -141,7 +141,7 @@ impl AliasTable {
 /// their sum, which a Metropolis–Hastings correction step needs to evaluate
 /// the proposal density of an arbitrary topic.
 ///
-/// Built by the AliasLDA baseline and the `AliasHybridSampler` kernel from
+/// Built by the AliasLDA baseline and the `MhSampler` kernel's alias preset from
 /// the word term `(φ_{k,v} + β) / (n_k + Vβ)` of the collapsed conditional;
 /// "stale" because the table is rebuilt on a cadence while the counts keep
 /// moving, with the staleness corrected by an MH acceptance step against the
