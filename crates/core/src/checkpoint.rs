@@ -800,10 +800,12 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn sampler_strategy_roundtrips_and_bad_tags_are_rejected() {
+    /// A checkpoint after 2 iterations under the MH strategy `sampler`, and
+    /// the bytes it writes.  Its stale tables were built at iteration 0, so
+    /// it carries a resume section; it must round-trip exactly.
+    fn mh_checkpoint(sampler: SamplerStrategy) -> (ModelCheckpoint, Vec<u8>) {
         let corpus = DatasetProfile {
-            name: "ckpt-sampler".into(),
+            name: "ckpt-mh".into(),
             num_docs: 40,
             vocab_size: 50,
             avg_doc_len: 10.0,
@@ -813,28 +815,25 @@ mod tests {
         .generate(3);
         let mut trainer = crate::session::SessionBuilder::new()
             .corpus(&corpus)
-            .config(
-                LdaConfig::with_topics(8)
-                    .seed(2)
-                    .sampler(SamplerStrategy::AliasHybrid {
-                        rebuild_every: 3,
-                        mh_steps: 2,
-                    }),
-            )
+            .config(LdaConfig::with_topics(8).seed(2).sampler(sampler))
             .system(MultiGpuSystem::single(DeviceSpec::v100_volta(), 2))
             .build()
             .unwrap();
         trainer.train(2);
         let full = ModelCheckpoint::from_trainer(&trainer);
-        assert_eq!(
-            full.sampler,
-            SamplerStrategy::AliasHybrid {
-                rebuild_every: 3,
-                mh_steps: 2
-            }
-        );
-        // The trainer rebuilt its tables at iteration 0, so the checkpoint
-        // carries the stale-table snapshot — and it round-trips exactly.
+        assert_eq!(full.sampler, sampler);
+        let mut buf = Vec::new();
+        full.write(&mut buf).unwrap();
+        assert_eq!(ModelCheckpoint::read(buf.as_slice()).unwrap(), full);
+        (full, buf)
+    }
+
+    #[test]
+    fn sampler_strategy_roundtrips_and_bad_tags_are_rejected() {
+        let (full, _) = mh_checkpoint(SamplerStrategy::AliasHybrid {
+            rebuild_every: 3,
+            mh_steps: 2,
+        });
         assert!(
             matches!(
                 full.sampler_state,
@@ -842,12 +841,6 @@ mod tests {
             ),
             "alias checkpoints carry the stale-table snapshot"
         );
-        let mut buf = Vec::new();
-        full.write(&mut buf).unwrap();
-        let back = ModelCheckpoint::read(buf.as_slice()).unwrap();
-        assert_eq!(back, full);
-        assert_eq!(back.sampler, full.sampler);
-        assert_eq!(back.sampler_state, full.sampler_state);
 
         // Tag-corruption checks on a stateless copy, where the trailing
         // layout is fixed: v3 section (1 tag + 2 × u64 knobs) + v4 flag.
@@ -906,39 +899,11 @@ mod tests {
 
     #[test]
     fn light_strategy_and_word_tables_roundtrip_in_v5() {
-        let corpus = DatasetProfile {
-            name: "ckpt-light".into(),
-            num_docs: 40,
-            vocab_size: 50,
-            avg_doc_len: 10.0,
-            zipf_exponent: 1.0,
-            doc_len_sigma: 0.4,
-        }
-        .generate(3);
-        let mut trainer = crate::session::SessionBuilder::new()
-            .corpus(&corpus)
-            .config(
-                LdaConfig::with_topics(8)
-                    .seed(2)
-                    .sampler(SamplerStrategy::LightLda {
-                        rebuild_every: 3,
-                        mh_steps: 2,
-                        prune_below: 4,
-                    }),
-            )
-            .system(MultiGpuSystem::single(DeviceSpec::v100_volta(), 2))
-            .build()
-            .unwrap();
-        trainer.train(2);
-        let full = ModelCheckpoint::from_trainer(&trainer);
-        assert_eq!(
-            full.sampler,
-            SamplerStrategy::LightLda {
-                rebuild_every: 3,
-                mh_steps: 2,
-                prune_below: 4,
-            }
-        );
+        let (full, buf) = mh_checkpoint(SamplerStrategy::LightLda {
+            rebuild_every: 3,
+            mh_steps: 2,
+            prune_below: 4,
+        });
         assert!(
             matches!(
                 full.sampler_state,
@@ -946,10 +911,6 @@ mod tests {
             ),
             "light checkpoints carry the word-proposal snapshot"
         );
-        let mut buf = Vec::new();
-        full.write(&mut buf).unwrap();
-        let back = ModelCheckpoint::read(buf.as_slice()).unwrap();
-        assert_eq!(back, full);
 
         // A truncated v5 sampler section surfaces as a typed IO error (EOF
         // mid-snapshot), never a panic.
